@@ -56,8 +56,20 @@ class CacheEvent:
         return self.tau if self.tau is not None else ("int", self.origin, self.seq)
 
     def canonical(self) -> Tuple:
-        """Canonical body for consensus comparison at the validator."""
-        return cache_canonical(self.cache, self.key, self.op, self.value)
+        """Canonical body for consensus comparison at the validator.
+
+        Every replica relays the same event, so the result is computed once
+        and kept in the instance ``__dict__`` (not a dataclass field: eq,
+        hash, repr and ``asdict`` ignore it). Sound because a stored value
+        is never mutated after its write; writers copy before rewriting.
+        """
+        try:
+            return self.__dict__["_canonical"]
+        except KeyError:
+            canonical = cache_canonical(self.cache, self.key, self.op,
+                                        self.value)
+            object.__setattr__(self, "_canonical", canonical)
+            return canonical
 
     def wire_size(self) -> int:
         """Approximate bytes on the inter-controller wire."""
@@ -81,15 +93,30 @@ def cache_canonical(cache: str, key: Any, op: CacheOp, value: Any) -> Tuple:
     return ("cache", cache, _canonical_value(key), op.value, _canonical_value(value))
 
 
+#: Exact types that are already canonical. An exact-type test, not
+#: ``isinstance``: subclasses such as ``IntEnum`` keep the general path.
+_SCALAR_TYPES = frozenset((str, int, float, bool, type(None)))
+
+
 def _canonical_value(value: Any) -> Any:
     """Reduce a stored value to a hashable, comparable form."""
+    kind = type(value)
+    if kind in _SCALAR_TYPES:
+        return value
+    # Most elements are scalars: test them inline, a call costs more. A
+    # plain tuple has no canonical() to probe.
+    if kind is tuple:
+        return tuple([v if type(v) in _SCALAR_TYPES else _canonical_value(v)
+                      for v in value])
     canonical = getattr(value, "canonical", None)
     if callable(canonical):
         return canonical()
     if isinstance(value, dict):
-        return tuple(sorted((k, _canonical_value(v)) for k, v in value.items()))
+        return tuple(sorted([
+            (k, v if type(v) in _SCALAR_TYPES else _canonical_value(v))
+            for k, v in value.items()]))
     if isinstance(value, (list, tuple)):
-        return tuple(_canonical_value(v) for v in value)
+        return tuple([_canonical_value(v) for v in value])
     return value
 
 

@@ -96,12 +96,12 @@ class Match:
 
     def specificity(self) -> int:
         """Number of non-wildcard fields (used for tie-breaking diagnostics)."""
-        return sum(1 for f in fields(self) if getattr(self, f.name) is not None)
+        return sum(1 for name in MATCH_FIELDS if getattr(self, name) is not None)
 
     def canonical(self) -> Tuple:
         """A hashable canonical form used as a consensus/cache entry."""
-        return tuple((f.name, getattr(self, f.name)) for f in fields(self)
-                     if getattr(self, f.name) is not None)
+        return tuple((name, value) for name in MATCH_FIELDS
+                     if (value := getattr(self, name)) is not None)
 
     @classmethod
     def from_canonical(cls, canonical: Tuple) -> "Match":
@@ -128,3 +128,8 @@ class Match:
     def for_destination(cls, dst_mac: str) -> "Match":
         """Destination-only match (ODL proactive style)."""
         return cls(dl_dst=dst_mac)
+
+
+#: Field names in declaration order, read by :meth:`Match.canonical` on the
+#: hot path instead of ``dataclasses.fields()``.
+MATCH_FIELDS: Tuple[str, ...] = tuple(f.name for f in fields(Match))

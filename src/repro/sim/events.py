@@ -1,31 +1,35 @@
 """Event records for the discrete-event simulator.
 
-An :class:`Event` is an internal, heap-ordered record. Callers interact with
-an :class:`EventHandle`, which supports cancellation and status queries but
-hides heap bookkeeping.
+An :class:`Event` is an internal record the simulator keys on its heap.
+Callers interact with an :class:`EventHandle`, which supports cancellation
+and status queries but hides heap bookkeeping.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any, Callable, Tuple
 
 
-@dataclass(order=True)
 class Event:
-    """A scheduled callback, ordered by ``(time, seq)``.
+    """A scheduled callback: the record behind an :class:`EventHandle`.
 
-    ``seq`` is a monotonically increasing tie-breaker so that events scheduled
-    for the same instant fire in FIFO order — a property several protocols in
-    this library (TCP-ordered cache update delivery, in-order trigger
-    replication) rely on.
+    The simulator's heap orders ``(time, seq, event)`` tuples, so ordering
+    never reaches this class; ``time`` and ``seq`` are kept for handles and
+    debugging. ``seq`` is a monotonically increasing tie-breaker so that
+    events scheduled for the same instant fire in FIFO order — a property
+    several protocols in this library (TCP-ordered cache update delivery,
+    in-order trigger replication) rely on.
     """
 
-    time: float
-    seq: int
-    callback: Callable[..., None] = field(compare=False)
-    args: Tuple[Any, ...] = field(compare=False, default=())
-    cancelled: bool = field(compare=False, default=False)
+    __slots__ = ("time", "seq", "callback", "args", "cancelled")
+
+    def __init__(self, time: float, seq: int, callback: Callable[..., None],
+                 args: Tuple[Any, ...] = ()):
+        self.time = time
+        self.seq = seq
+        self.callback = callback
+        self.args = args
+        self.cancelled = False
 
 
 class EventHandle:

@@ -11,6 +11,15 @@ Design notes
   ``random``.
 * Events at equal timestamps fire in scheduling (FIFO) order; the validator's
   in-order processing of cache updates depends on this.
+* Heap entries are ``(time, seq, event)`` tuples. ``seq`` is unique, so
+  ``heapq`` orders entries by comparing two floats or ints in C and never
+  reaches the :class:`~repro.sim.events.Event` record. The key is the one
+  place the firing order is decided: a different tie order at equal times
+  would be a different second element.
+* Cancellation is lazy: a cancelled entry stays in the heap until it
+  reaches the top, where ``step`` and ``run`` drop it.
+* Every scheduling path goes through :meth:`Simulator.schedule_at`, so a
+  wrapper installed on that method sees every event.
 """
 
 from __future__ import annotations
@@ -18,7 +27,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import random
-from typing import Callable, Optional
+from typing import Callable, Optional, Tuple
 
 from repro.errors import SimulationError
 from repro.sim.events import Event, EventHandle
@@ -36,7 +45,7 @@ class Simulator:
     """
 
     def __init__(self, seed: int = 0):
-        self._heap: list[Event] = []
+        self._heap: list[Tuple[float, int, Event]] = []
         self._seq = itertools.count()
         self._now = 0.0
         self._running = False
@@ -60,7 +69,7 @@ class Simulator:
     @property
     def pending(self) -> int:
         """Number of not-yet-fired, not-cancelled events in the queue."""
-        return sum(1 for e in self._heap if not e.cancelled)
+        return sum(1 for _, _, e in self._heap if not e.cancelled)
 
     @property
     def events_fired(self) -> int:
@@ -90,8 +99,9 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule at t={time} ms; current time is {self._now} ms"
             )
-        event = Event(time=time, seq=next(self._seq), callback=callback, args=args)
-        heapq.heappush(self._heap, event)
+        seq = next(self._seq)
+        event = Event(time, seq, callback, args)
+        heapq.heappush(self._heap, (time, seq, event))
         return EventHandle(event)
 
     # ------------------------------------------------------------------
@@ -103,10 +113,10 @@ class Simulator:
         Returns ``True`` if an event fired, ``False`` if the queue was empty.
         """
         while self._heap:
-            event = heapq.heappop(self._heap)
+            time, _, event = heapq.heappop(self._heap)
             if event.cancelled:
                 continue
-            self._now = event.time
+            self._now = time
             self._events_fired += 1
             event.callback(*event.args)
             return True
@@ -122,19 +132,21 @@ class Simulator:
         if self._running:
             raise SimulationError("simulator is not reentrant")
         self._running = True
+        heap = self._heap
+        pop = heapq.heappop
         fired = 0
         try:
-            while self._heap:
-                event = self._heap[0]
+            while heap:
+                time, _, event = heap[0]
                 if event.cancelled:
-                    heapq.heappop(self._heap)
+                    pop(heap)
                     continue
-                if until is not None and event.time > until:
+                if until is not None and time > until:
                     break
                 if max_events is not None and fired >= max_events:
                     break
-                heapq.heappop(self._heap)
-                self._now = event.time
+                pop(heap)
+                self._now = time
                 self._events_fired += 1
                 fired += 1
                 event.callback(*event.args)

@@ -92,3 +92,49 @@ def test_adaptive_timeout_window_slides():
         timeout.observe(10.0)
     low = timeout.current()
     assert low < high
+
+
+def test_selection_result_is_a_fresh_list():
+    first = designated_secondaries(("ext", 77), IDS, 3, exclude=("c1",))
+    expected = list(first)
+    first.append("intruder")
+    first.sort(reverse=True)
+    again = designated_secondaries(("ext", 77), IDS, 3, exclude=("c1",))
+    assert again == expected
+    assert again is not first
+    full = designated_secondaries(("ext", 77), IDS, 100, exclude=("c1",))
+    full.clear()
+    assert len(designated_secondaries(("ext", 77), IDS, 100,
+                                      exclude=("c1",))) == 6
+
+
+def test_selection_ignores_candidate_container_and_order():
+    tau = ("ext", 78)
+    as_list = designated_secondaries(tau, IDS, 3, exclude=["c2"])
+    assert designated_secondaries(tau, tuple(IDS), 3, exclude=("c2",)) \
+        == as_list
+    assert designated_secondaries(tau, list(reversed(IDS)), 3,
+                                  exclude=("c2",)) == as_list
+    assert designated_secondaries(tau, iter(IDS), 3, exclude=("c2",)) \
+        == as_list
+
+
+def test_selection_memo_keeps_ids_with_equal_values_apart():
+    # 1 == 1.0 == True, but their reprs seed different choices.
+    import random
+
+    pool = sorted(set(IDS) - {"c1"})
+    for tau in [("ext", 1), ("ext", 1.0), ("ext", True)] * 2:
+        expected = sorted(random.Random(f"jury/{tau!r}").sample(pool, 3))
+        assert designated_secondaries(tau, IDS, 3, exclude=("c1",)) \
+            == expected
+
+
+def test_selection_cache_is_bounded():
+    from repro.core.selection import _select
+
+    info = _select.cache_info()
+    assert info.maxsize is not None and 0 < info.maxsize <= 65536
+    for i in range(info.maxsize + 10):
+        designated_secondaries(("bound", i), IDS, 2)
+    assert _select.cache_info().currsize <= info.maxsize

@@ -1,10 +1,12 @@
 """Tests for OpenFlow match semantics and the field-prerequisite hierarchy."""
 
+import dataclasses
+
 import pytest
 
 from repro.errors import MatchFieldError
 from repro.net.packet import EtherType, IpProto, arp_request, tcp_packet
-from repro.openflow.match import Match
+from repro.openflow.match import MATCH_FIELDS, Match
 
 
 def tcp():
@@ -102,3 +104,11 @@ def test_match_is_hashable_and_equal_by_value():
     assert a == b
     assert hash(a) == hash(b)
     assert len({a, b}) == 1
+
+
+def test_precomputed_field_names_follow_the_dataclass():
+    # canonical() reads MATCH_FIELDS; a field added to Match without it
+    # would silently drop out of every consensus comparison.
+    assert MATCH_FIELDS == tuple(f.name for f in dataclasses.fields(Match))
+    full = Match(**{name: 1 for name in MATCH_FIELDS})
+    assert [name for name, _ in full.canonical()] == list(MATCH_FIELDS)

@@ -156,3 +156,74 @@ def test_events_fired_counter():
         sim.schedule(float(i), lambda: None)
     sim.run()
     assert sim.events_fired == 4
+
+
+def test_same_time_fifo_holds_across_cancelled_events():
+    sim = Simulator()
+    fired = []
+    handles = [sim.schedule(2.0, fired.append, label) for label in "abcdef"]
+    handles[1].cancel()
+    handles[4].cancel()
+    sim.schedule(2.0, fired.append, "g")
+    sim.run()
+    assert fired == list("acdfg")
+
+
+def test_event_scheduled_at_now_fires_after_queued_peers():
+    sim = Simulator()
+    fired = []
+
+    def first():
+        fired.append("first")
+        sim.schedule(0.0, fired.append, "spawned")
+        sim.schedule_at(sim.now, fired.append, "spawned-at")
+
+    sim.schedule(1.0, first)
+    sim.schedule(1.0, fired.append, "peer-1")
+    sim.schedule(1.0, fired.append, "peer-2")
+    sim.run()
+    assert fired == ["first", "peer-1", "peer-2", "spawned", "spawned-at"]
+    assert sim.now == 1.0
+
+
+def test_pending_and_step_skip_cancelled_entries():
+    sim = Simulator()
+    fired = []
+    early = sim.schedule(1.0, fired.append, "early")
+    sim.schedule(2.0, fired.append, "late")
+    also = sim.schedule(2.0, fired.append, "cancelled")
+    early.cancel()
+    also.cancel()
+    assert sim.pending == 1
+    assert sim.step()
+    assert fired == ["late"] and sim.now == 2.0
+    assert sim.events_fired == 1
+    assert sim.pending == 0
+    assert not sim.step()
+
+
+def test_schedule_at_wrapper_sees_every_scheduled_event(monkeypatch):
+    # Tracers wrap Simulator.schedule_at and rely on every scheduling path
+    # going through it.
+    seen = []
+    original = Simulator.schedule_at
+
+    def spy(sim, time, callback, *args):
+        seen.append((time, args))
+        return original(sim, time, callback, *args)
+
+    monkeypatch.setattr(Simulator, "schedule_at", spy)
+    sim = Simulator()
+    fired = []
+
+    def chain(n):
+        fired.append(n)
+        if n < 3:
+            sim.schedule(1.5, chain, n + 1)
+
+    sim.schedule(1.0, chain, 1)
+    sim.schedule(0.5, fired.append, "x")
+    sim.run()
+    assert fired == ["x", 1, 2, 3]
+    assert seen == [(1.0, (1,)), (0.5, ("x",)), (2.5, (2,)), (4.0, (3,))]
+    assert len(seen) == sim.events_fired
