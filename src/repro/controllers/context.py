@@ -19,6 +19,8 @@ import itertools
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
+from repro.datastore.events import sort_canonicals
+
 TriggerId = Tuple  # ("ext", n) for external triggers, ("int", origin, n) internal
 
 _external_ids = itertools.count(1)
@@ -169,5 +171,5 @@ class TriggerContext:
 
     def combined_canonical(self) -> Tuple:
         """Canonical (cache, network) bundle for replica-result responses."""
-        return (tuple(sorted(self.captured_cache, key=repr)),
-                tuple(sorted(self.captured_network, key=repr)))
+        return (sort_canonicals(self.captured_cache),
+                sort_canonicals(self.captured_network))

@@ -25,9 +25,9 @@ from typing import Any, Dict, Tuple
 
 from repro.controllers.base import Controller, NetworkMessageRecord
 from repro.controllers.context import TriggerContext
-from repro.core.responses import Response, ResponseKind, sort_canonicals
+from repro.core.responses import Response, ResponseKind
 from repro.core.selection import designated_secondaries
-from repro.datastore.events import CacheEvent
+from repro.datastore.events import CacheEvent, sort_canonicals
 from repro.net.packet import LldpPayload
 from repro.openflow.encap import EncapStats, decapsulate_packet_in
 from repro.openflow.messages import (

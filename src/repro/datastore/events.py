@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Any, Optional, Tuple
+from typing import Any, Iterable, Optional, Tuple
 
 
 class CacheOp(enum.Enum):
@@ -72,15 +72,26 @@ class CacheEvent:
             return canonical
 
     def wire_size(self) -> int:
-        """Approximate bytes on the inter-controller wire."""
-        value_size = getattr(self.value, "wire_size", None)
-        if callable(value_size):
-            payload = value_size()
-        elif self.value is None:
-            payload = 0
-        else:
-            payload = min(512, 32 + len(repr(self.value)))
-        return 96 + payload
+        """Approximate bytes on the inter-controller wire.
+
+        The store charges every peer delivery of the event, so the size is
+        computed once and kept in the instance ``__dict__`` like
+        :meth:`canonical`. Sound for the same reason: a stored value is
+        never mutated after its write.
+        """
+        try:
+            return self.__dict__["_wire_size"]
+        except KeyError:
+            value_size = getattr(self.value, "wire_size", None)
+            if callable(value_size):
+                payload = value_size()
+            elif self.value is None:
+                payload = 0
+            else:
+                payload = min(512, 32 + len(repr(self.value)))
+            size = 96 + payload
+            object.__setattr__(self, "_wire_size", size)
+            return size
 
 
 def cache_canonical(cache: str, key: Any, op: CacheOp, value: Any) -> Tuple:
@@ -91,6 +102,20 @@ def cache_canonical(cache: str, key: Any, op: CacheOp, value: Any) -> Tuple:
     real one at the validator.
     """
     return ("cache", cache, _canonical_value(key), op.value, _canonical_value(value))
+
+
+def sort_canonicals(items: Iterable) -> Tuple:
+    """Stable canonical ordering for heterogeneous canonical tuples.
+
+    Canonicals mix ints, strings, and None, so plain tuple comparison can
+    raise; ``repr`` gives a total order that is identical on every replica,
+    which is all consensus comparison needs. Zero or one item is already
+    in order, so those skip the ``repr`` of every item.
+    """
+    items = tuple(items)
+    if len(items) < 2:
+        return items
+    return tuple(sorted(items, key=repr))
 
 
 #: Exact types that are already canonical. An exact-type test, not
@@ -104,8 +129,14 @@ def _canonical_value(value: Any) -> Any:
     if kind in _SCALAR_TYPES:
         return value
     # Most elements are scalars: test them inline, a call costs more. A
-    # plain tuple has no canonical() to probe.
+    # plain tuple has no canonical() to probe, and one of scalars only is
+    # its own canonical form, so it comes back as the same object.
     if kind is tuple:
+        for v in value:
+            if type(v) not in _SCALAR_TYPES:
+                break
+        else:
+            return value
         return tuple([v if type(v) in _SCALAR_TYPES else _canonical_value(v)
                       for v in value])
     canonical = getattr(value, "canonical", None)

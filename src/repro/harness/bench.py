@@ -29,6 +29,7 @@ from repro.core.pipeline import ValidationPipeline
 from repro.core.responses import Response, ResponseKind
 from repro.core.timeouts import StaticTimeout
 from repro.core.validator import Validator
+from repro.datastore.events import sort_canonicals
 from repro.harness.metrics import percentile
 from repro.sim.simulator import Simulator
 
@@ -65,7 +66,7 @@ def synthetic_validation_workload(
     for index in range(triggers):
         tau = ("ext", index)
         cache, net = _entries(rng.randrange(_FLOW_VARIANTS))
-        combined = (cache, tuple(sorted(set(net), key=repr)))
+        combined = (cache, sort_canonicals(set(net)))
         digest = (("c1", index // _DIGEST_STRIDE),)
         faulty = rng.random() < fault_rate
         responses = [

@@ -52,6 +52,7 @@ from repro.core.pipeline import ValidationPipeline
 from repro.core.responses import Response, ResponseKind
 from repro.core.timeouts import StaticTimeout
 from repro.core.validator import Validator
+from repro.datastore.events import sort_canonicals
 from repro.errors import CheckpointError
 # The soak reuses the bench workload's entry shapes so its triggers are
 # indistinguishable from the benchmarked ones — only the draw changes
@@ -89,7 +90,7 @@ def soak_trigger(index: int, k: int, seed: int,
     flow = crc32(f"flow:{seed}:{index}".encode()) % _FLOW_VARIANTS
     faulty = crc32(f"fault:{seed}:{index}".encode()) % FAULT_STRIDE == 0
     cache, net = _entries(flow)
-    combined = (cache, tuple(sorted(set(net), key=repr)))
+    combined = (cache, sort_canonicals(set(net)))
     digest = (("c1", index // _DIGEST_STRIDE),)
     responses = [
         Response("c1", tau, ResponseKind.NETWORK_WRITE, net,

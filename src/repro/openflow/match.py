@@ -99,9 +99,20 @@ class Match:
         return sum(1 for name in MATCH_FIELDS if getattr(self, name) is not None)
 
     def canonical(self) -> Tuple:
-        """A hashable canonical form used as a consensus/cache entry."""
-        return tuple((name, value) for name in MATCH_FIELDS
-                     if (value := getattr(self, name)) is not None)
+        """A hashable canonical form used as a consensus/cache entry.
+
+        Computed once and kept in the instance ``__dict__`` (not a
+        dataclass field: eq, hash, repr and ``asdict`` ignore it). Sound
+        because a ``Match`` is frozen; ``replace`` builds a new instance
+        with a fresh memo.
+        """
+        try:
+            return self.__dict__["_canonical"]
+        except KeyError:
+            canonical = tuple((name, value) for name in MATCH_FIELDS
+                              if (value := getattr(self, name)) is not None)
+            object.__setattr__(self, "_canonical", canonical)
+            return canonical
 
     @classmethod
     def from_canonical(cls, canonical: Tuple) -> "Match":

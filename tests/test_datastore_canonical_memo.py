@@ -1,8 +1,8 @@
-"""The memoised ``CacheEvent.canonical`` and the rule it relies on.
+"""The memoised ``CacheEvent.canonical``/``wire_size`` and their rule.
 
-The memo is sound only while a stored cache value is never mutated after
-its write: every replica shares the written value object, and relays the
-event's first canonical form.
+The memos are sound only while a stored cache value is never mutated after
+its write: every replica shares the written value object, relays the
+event's first canonical form and is charged its first wire size.
 """
 
 import collections
@@ -54,6 +54,31 @@ def test_replace_gives_a_fresh_memo():
     assert event.canonical() is old
 
 
+def test_wire_size_is_computed_once_and_stable():
+    event = _event(value=("a", 1))
+    size = event.wire_size()
+    assert size == 96 + 32 + len(repr(("a", 1)))
+    assert event.wire_size() == size
+    assert event.__dict__["_wire_size"] == size
+    assert _event(value=None).wire_size() == 96
+
+
+def test_wire_size_memo_leaves_eq_and_repr_unchanged():
+    fresh, memoised = _event(value=("a", 1)), _event(value=("a", 1))
+    memoised.wire_size()
+    assert memoised == fresh
+    assert hash(memoised) == hash(fresh)
+    assert repr(memoised) == repr(fresh)
+
+
+def test_replace_gives_a_fresh_wire_size_memo():
+    event = _event(value="x")
+    old = event.wire_size()
+    changed = dataclasses.replace(event, value="x" * 40)
+    assert changed.wire_size() == old + 39
+    assert event.wire_size() == old
+
+
 class _Port(enum.IntEnum):
     LOCAL = 7
 
@@ -88,10 +113,13 @@ def test_stored_values_are_never_mutated_after_their_write(config):
     seen = []
 
     def recheck(where, event):
+        changed = (f"{where}: {event.cache}[{event.key!r}] changed after "
+                   f"its write by {event.origin}")
         assert cache_canonical(event.cache, event.key, event.op,
-                               event.value) == event.canonical(), (
-            f"{where}: {event.cache}[{event.key!r}] changed after its "
-            f"write by {event.origin}")
+                               event.value) == event.canonical(), changed
+        # replace() builds a copy without the memo, so this recomputes.
+        assert dataclasses.replace(event).wire_size() \
+            == event.wire_size(), changed
 
     def on_event(node, event):
         recheck(node.node_id, event)

@@ -1,6 +1,7 @@
 """Tests for OpenFlow match semantics and the field-prerequisite hierarchy."""
 
 import dataclasses
+import pickle
 
 import pytest
 
@@ -112,3 +113,50 @@ def test_precomputed_field_names_follow_the_dataclass():
     assert MATCH_FIELDS == tuple(f.name for f in dataclasses.fields(Match))
     full = Match(**{name: 1 for name in MATCH_FIELDS})
     assert [name for name, _ in full.canonical()] == list(MATCH_FIELDS)
+
+
+def _full():
+    return Match(in_port=1, dl_src="aa", dl_dst="bb", dl_type=0x0800,
+                 nw_src="10.0.0.1", nw_dst="10.0.0.2", nw_proto=6,
+                 tp_src=1000, tp_dst=80)
+
+
+def test_canonical_is_computed_once():
+    match = _full()
+    first = match.canonical()
+    assert match.canonical() is first
+    assert first == tuple((name, getattr(match, name))
+                          for name in MATCH_FIELDS)
+
+
+def test_canonical_memo_leaves_eq_hash_repr_and_asdict_unchanged():
+    fresh, memoised = _full(), _full()
+    memoised.canonical()
+    assert memoised == fresh
+    assert hash(memoised) == hash(fresh)
+    assert repr(memoised) == repr(fresh)
+    assert dataclasses.asdict(memoised) == dataclasses.asdict(fresh)
+    assert len({memoised, fresh}) == 1
+
+
+def test_derived_matches_get_a_fresh_canonical_memo():
+    match = Match(dl_type=0x0806, nw_src="10.0.0.1", tp_dst=80)
+    old = match.canonical()
+    replaced = dataclasses.replace(match, dl_type=0x0800)
+    assert replaced.canonical() == (("dl_type", 0x0800),
+                                    ("nw_src", "10.0.0.1"), ("tp_dst", 80))
+    stripped = match.strip_unsupported_fields()
+    assert stripped.canonical() == (("dl_type", 0x0806),
+                                    ("nw_src", "10.0.0.1"))
+    assert match.canonical() is old
+    assert old == (("dl_type", 0x0806), ("nw_src", "10.0.0.1"),
+                   ("tp_dst", 80))
+
+
+def test_memoised_match_survives_a_pickle_round_trip():
+    match = _full()
+    canonical = match.canonical()
+    copy = pickle.loads(pickle.dumps(match))
+    assert copy == match
+    assert hash(copy) == hash(match)
+    assert copy.canonical() == canonical

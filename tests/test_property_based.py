@@ -5,9 +5,10 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.responses import Response, ResponseKind, sort_canonicals
+from repro.core.responses import Response, ResponseKind
 from repro.core.selection import designated_secondaries
 from repro.core.consensus import evaluate_consensus
+from repro.datastore.events import sort_canonicals
 from repro.harness.metrics import cdf_points, percentile
 from repro.net.packet import EtherType, IpProto, Packet
 from repro.openflow.actions import ActionOutput
